@@ -78,9 +78,11 @@ pub fn run_campaign_from(
     // XOR masks — the paper's weighted-random selection).
     let plans = plan_injections(cfg.seed, cfg.injections, population);
 
-    // Step 3: execute and classify, fanned out over OS threads.
-    // `parallelism: 0` clamps to serial execution; outcome counts are
-    // identical at any worker count (each run is independent).
+    // Step 3: execute and classify, fanned out over OS threads, every
+    // run on one shared decoded image of the module. `parallelism: 0`
+    // clamps to serial execution; outcome counts are identical at any
+    // worker count (each run is independent).
+    let image = Vm::decode(module, &cfg.vm.cost);
     let workers = cfg.parallelism.max(1);
     let chunk = plans.len().div_ceil(workers);
     let mut report = CampaignReport::default();
@@ -90,13 +92,14 @@ pub fn run_campaign_from(
             let vm_cfg = cfg.vm.clone();
             let golden_out = &golden.output;
             let forensics = cfg.forensics;
+            let image = &image;
             handles.push(scope.spawn(move || {
                 let mut local = CampaignReport::default();
                 for plan in piece {
                     let mut c = vm_cfg.clone();
                     c.fault = Some(*plan);
                     c.forensics = forensics;
-                    let r = Vm::run(module, c, spec);
+                    let r = Vm::run_decoded(module, image, c, spec);
                     let o = classify(&r, golden_out);
                     local.record(o);
                     if let Some(fx) = &r.forensics {

@@ -1,23 +1,23 @@
 //! One shard actor: a hardened VM with its own virtual clock.
 //!
 //! Each actor owns a private [`BatchRunner`] — its own clone of the
-//! once-hardened module — so batches on different shards really execute
-//! concurrently on different cores. Service time is still priced by the
-//! simulated cost model ([`haft_vm::PhaseCycles::service_cycles`] over
-//! the configured clock), carried on a *per-shard virtual clock*: a batch
-//! starts at `max(shard vclock, latest arrival in the batch)` and the
-//! shard's clock advances to its completion. That keeps latency and
-//! throughput host-independent and comparable with the DES twin, while
-//! host wall-clock is measured separately by the pool.
+//! once-hardened module, over the pool's one shared decoded image — so
+//! batches on different shards really execute concurrently on different
+//! cores. Service time is still priced by the simulated cost model
+//! ([`haft_vm::PhaseCycles::service_cycles`] over the configured clock),
+//! carried on a *per-shard virtual clock*: a batch starts at
+//! `max(shard vclock, latest arrival in the batch)` and the shard's clock
+//! advances to its completion. That keeps latency and throughput
+//! host-independent and comparable with the DES twin, while host
+//! wall-clock is measured separately by the pool.
 
 use haft_apps::{golden_reply, Op};
 use haft_faults::{classify_requests, RequestCounts, RequestOutcome};
-use haft_ir::module::Module;
 use haft_ir::rng::Prng;
 use haft_serve::report::{FaultReport, FaultTelemetry, ShardStats};
 use haft_serve::{BatchRunner, ServeConfig, TRACE_PID_SERVE, TRACE_PID_VM_BASE};
 use haft_trace::{TraceBuf, TraceEvent};
-use haft_vm::{FaultPlan, RunOutcome, RunSpec, VmConfig};
+use haft_vm::{FaultPlan, RunOutcome};
 
 use std::collections::VecDeque;
 use std::sync::atomic::Ordering;
@@ -76,9 +76,9 @@ pub struct ShardActor<'a> {
 }
 
 impl<'a> ShardActor<'a> {
-    /// Builds the actor for shard `idx`. `writes_per_req` comes from the
-    /// pool's one off-traffic calibration batch (shared by all shards,
-    /// identical to the DES's estimate).
+    /// Builds the actor for shard `idx` around its batch `runner`.
+    /// `writes_per_req` comes from the pool's one off-traffic calibration
+    /// batch (shared by all shards, identical to the DES's estimate).
     ///
     /// The per-shard fault stream is seeded `FaultLoad::seed ^ idx`: with
     /// concurrent shards there is no global batch order for a single
@@ -86,15 +86,13 @@ impl<'a> ShardActor<'a> {
     /// therefore differs from the simulation at equal config — rates and
     /// aggregate behaviour match, individual hits do not.
     pub fn new(
-        hardened: &Module,
-        spec: RunSpec<'a>,
-        vm: VmConfig,
+        runner: BatchRunner<'a>,
         cfg: &ServeConfig,
         idx: usize,
         writes_per_req: u64,
     ) -> Self {
         ShardActor {
-            runner: BatchRunner::new(hardened, spec, vm),
+            runner,
             fault_rng: cfg.faults.map(|f| Prng::new(f.seed ^ idx as u64)),
             fault_rate: cfg.faults.map(|f| f.rate_per_request).unwrap_or(0.0),
             writes_per_req,
@@ -280,13 +278,20 @@ impl<'a> ShardActor<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use haft::workloads::Workload;
     use haft_apps::{kv_shard, KvSync, WorkloadMix, YcsbGen};
+    use haft_vm::VmConfig;
+
+    /// Shard 0's actor over `w`, one write per request.
+    fn actor<'w>(w: &'w Workload, cfg: &ServeConfig) -> ShardActor<'w> {
+        ShardActor::new(BatchRunner::new(&w.module, w.run_spec(), VmConfig::default()), cfg, 0, 1)
+    }
 
     #[test]
     fn batch_formation_respects_virtual_arrivals() {
         let w = kv_shard(KvSync::Atomics);
         let cfg = ServeConfig { batch: 4, ..Default::default() };
-        let a = ShardActor::new(&w.module, w.run_spec(), VmConfig::default(), &cfg, 0, 1);
+        let a = actor(&w, &cfg);
         let mut gen = YcsbGen::new(3, 100);
         let mk = |op, t| Req { op, arrival_vns: t, saga: None };
         let ops = gen.generate(WorkloadMix::B, 4);
@@ -303,7 +308,7 @@ mod tests {
     fn served_batches_advance_the_clock_and_sample_latency() {
         let w = kv_shard(KvSync::Atomics);
         let cfg = ServeConfig::default();
-        let mut a = ShardActor::new(&w.module, w.run_spec(), VmConfig::default(), &cfg, 0, 1);
+        let mut a = actor(&w, &cfg);
         let mut gen = YcsbGen::new(9, 100);
         let ops = gen.generate(WorkloadMix::B, 3);
         let batch: Vec<Req> =
@@ -329,7 +334,7 @@ mod tests {
 
         let w = kv_shard(KvSync::Atomics);
         let cfg = ServeConfig::default();
-        let mut a = ShardActor::new(&w.module, w.run_spec(), VmConfig::default(), &cfg, 0, 1);
+        let mut a = actor(&w, &cfg);
         let mut gen = YcsbGen::new(4, 100);
         let ops = gen.generate(WorkloadMix::B, 2);
 

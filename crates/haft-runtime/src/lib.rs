@@ -3,13 +3,14 @@
 //! The `haft-serve` discrete-event simulation prices a fleet of shard
 //! VMs on one host thread; this crate *runs* the same fleet: N shard
 //! actors — each owning its own VM over its own clone of the
-//! once-hardened module — scheduled across a work-stealing pool of OS
-//! threads ([`pool::Pool`]). Requests flow through the same arrival /
-//! router / batching model into per-shard inboxes; cross-shard
-//! multi-key requests split into per-key sub-operations and join as
-//! sagas ([`traffic::Saga`]); completed batches price their service
-//! time with the same [`haft_vm::PhaseCycles`] cost model and feed the
-//! same [`ServiceReport`] schema.
+//! once-hardened module and one shared decoded image of it — scheduled
+//! across a work-stealing pool of OS threads ([`pool::Pool`]). Requests
+//! flow through the same arrival / router / batching model into
+//! per-shard inboxes; cross-shard multi-key requests split into per-key
+//! sub-operations and join as sagas ([`traffic::Saga`]); completed
+//! batches price their service time with the same
+//! [`haft_vm::PhaseCycles`] cost model and feed the same
+//! [`ServiceReport`] schema.
 //!
 //! # The DES is the deterministic twin
 //!
@@ -26,6 +27,7 @@ pub mod actor;
 pub mod pool;
 pub mod traffic;
 
+use std::sync::Arc;
 use std::time::Instant;
 
 use haft_apps::{YcsbGen, KV_KEYSPACE, SHARD_CAPACITY};
@@ -33,7 +35,7 @@ use haft_ir::module::Module;
 use haft_serve::report::{FaultReport, WallReport};
 use haft_serve::{ArrivalMode, BatchRunner, LatencyStats, ServeConfig, ServiceReport};
 use haft_trace::TraceBuf;
-use haft_vm::{RunOutcome, RunSpec, VmConfig};
+use haft_vm::{RunOutcome, RunSpec, Vm, VmConfig};
 
 pub use actor::ShardActor;
 pub use pool::{ActorSlot, Pool};
@@ -127,11 +129,16 @@ fn run_native_impl(
     let total = cfg.requests;
     let batch_cap = cfg.batch.clamp(1, SHARD_CAPACITY);
 
+    // One decoded image of the module, shared by the calibration runner
+    // and every shard actor's runner.
+    let image = Arc::new(Vm::decode(module, &vm.cost));
+    let runner = || BatchRunner::with_image(module, Arc::clone(&image), spec, vm.clone());
+
     // Same writes-per-request calibration as the DES — one off-traffic
     // batch on a throwaway runner, so fault occurrences can be drawn
     // uniformly over a batch's dynamic trace.
     let writes_per_req = if cfg.faults.is_some() {
-        let mut runner = BatchRunner::new(module, spec, vm.clone());
+        let mut runner = runner();
         let mut cal_gen = YcsbGen::new(cfg.seed ^ 0xCA11_B007, KV_KEYSPACE);
         let cal_ops = cal_gen.generate(cfg.mix, batch_cap);
         let cal = runner.run_batch(&cal_ops, None);
@@ -144,7 +151,7 @@ fn run_native_impl(
     let epoch = trace.as_ref().map(|_| Instant::now());
     let slots: Vec<ActorSlot> = (0..cfg.shards)
         .map(|i| {
-            let mut actor = ShardActor::new(module, spec, vm.clone(), cfg, i, writes_per_req);
+            let mut actor = ShardActor::new(runner(), cfg, i, writes_per_req);
             if let Some(e) = epoch {
                 actor.enable_trace(e);
             }

@@ -21,7 +21,7 @@
 use haft_ir::inst::{BinOp, Op, UnOp};
 
 /// Latency and width parameters of the simulated core.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CostConfig {
     /// Sustainable issue width (instructions per cycle).
     pub width: u64,

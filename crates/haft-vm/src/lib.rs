@@ -26,12 +26,13 @@ pub use cost::CostConfig;
 pub use fault::FaultPlan;
 pub use mem::{Memory, Trap};
 pub use vm::{
-    CycleProfile, Engine, FaultDetector, FaultSite, Forensics, FuseStats, PhaseCycles, ProfileCell,
+    CycleProfile, Decoded, Engine, FaultDetector, FaultSite, Forensics, PhaseCycles, ProfileCell,
     ProfileOpClass, RunOutcome, RunResult, RunSpec, Vm, VmConfig,
 };
 
 // The `haft-runtime` pool runs one VM per shard actor across OS threads,
-// sharing the hardened module and configuration by value or borrow. Pin
+// sharing the hardened module, its decoded image and the configuration by
+// value or borrow. Pin
 // the thread-safety audit at compile time: nothing in the execution
 // state may grow interior mutability (Rc, RefCell, raw pointers) without
 // this failing to build.
@@ -39,6 +40,7 @@ const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<haft_ir::module::Module>();
     assert_send_sync::<VmConfig>();
+    assert_send_sync::<Decoded>();
     assert_send_sync::<RunSpec<'static>>();
     assert_send_sync::<RunResult>();
     assert_send_sync::<CostConfig>();

@@ -37,6 +37,24 @@ impl std::fmt::Display for Trap {
     }
 }
 
+/// Base address of each global, indexed by `GlobalId`, and the first
+/// address past the last one: globals are laid out from address 64 with
+/// 64-byte alignment. A pure function of the globals' sizes, so it is
+/// the same for every arena size and every init-byte rewrite.
+pub(crate) fn global_layout(m: &Module) -> (Vec<u64>, u64) {
+    let mut next = 64u64;
+    let bases = m
+        .globals
+        .iter()
+        .map(|g| {
+            let base = next;
+            next = (base + g.size + 63) & !63;
+            base
+        })
+        .collect();
+    (bases, next)
+}
+
 /// Byte-addressable flat memory holding globals and the bump heap.
 ///
 /// Address 0 is never mapped so that null-pointer dereferences trap, the
@@ -64,21 +82,15 @@ impl Memory {
     ///
     /// Panics if the globals do not fit.
     pub fn new(m: &Module, size: u64) -> Self {
-        let mut next = 64u64;
-        let mut global_bases = Vec::with_capacity(m.globals.len());
-        for g in &m.globals {
-            let base = next;
+        let (global_bases, next) = global_layout(m);
+        let mut bytes = vec![0u8; (next as usize).min(size as usize)];
+        for (g, &base) in m.globals.iter().zip(&global_bases) {
             assert!(
                 base + g.size <= size,
                 "globals exceed memory: need {} have {}",
                 base + g.size,
                 size
             );
-            global_bases.push(base);
-            next = (base + g.size + 63) & !63;
-        }
-        let mut bytes = vec![0u8; (next as usize).min(size as usize)];
-        for (g, &base) in m.globals.iter().zip(&global_bases) {
             if let GlobalInit::Bytes(init) = &g.init {
                 bytes[base as usize..base as usize + init.len()].copy_from_slice(init);
             }

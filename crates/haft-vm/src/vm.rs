@@ -411,19 +411,17 @@ impl<'m> Vm<'m> {
         }
     }
 
-    /// Decode-time fusion statistics for `module` under `cfg` — a
-    /// diagnostic for benchmarks and docs; does not run anything.
-    #[deprecated(note = "use `Vm::fusion_metrics` (the unified registry's `vm.fuse.*` names)")]
-    pub fn fusion_stats(module: &Module, cfg: &VmConfig) -> fuse::FuseStats {
-        let mem = Memory::new(module, cfg.mem_bytes);
-        decode::Decoded::decode(module, &mem, &cfg.cost).stats
+    /// Decodes `module` under `cost` into a read-only image that any
+    /// number of [`Vm::run_decoded`] calls — on any thread — can share.
+    /// Does not run anything.
+    pub fn decode(module: &Module, cost: &CostConfig) -> Decoded {
+        Decoded::decode(module, cost)
     }
 
     /// Decode-time fusion statistics exported through the unified
     /// metrics registry (`vm.fuse.*` names); does not run anything.
     pub fn fusion_metrics(module: &Module, cfg: &VmConfig) -> MetricsSnapshot {
-        let mem = Memory::new(module, cfg.mem_bytes);
-        let stats = decode::Decoded::decode(module, &mem, &cfg.cost).stats;
+        let stats = Self::decode(module, &cfg.cost).stats;
         let mut m = MetricsSnapshot::new();
         m.set("vm.fuse.alu_pairs", stats.alu_pairs as f64);
         m.set("vm.fuse.cmp_br", stats.cmp_br as f64);
@@ -442,7 +440,24 @@ impl<'m> Vm<'m> {
 
     /// Executes all phases of `spec` and returns the measurements.
     pub fn run(module: &'m Module, cfg: VmConfig, spec: RunSpec<'_>) -> RunResult {
-        Self::run_instrumented(module, cfg, spec, None, false).0
+        Self::run_decoded(module, &Self::decode(module, &cfg.cost), cfg, spec)
+    }
+
+    /// [`Vm::run`] over an image built earlier by [`Vm::decode`], so a
+    /// module that runs many times (request batches, fault injections)
+    /// is decoded once. The result is identical to `Vm::run`'s.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `image` was decoded for a different global layout or
+    /// under a different `cfg.cost` than this run's.
+    pub fn run_decoded(
+        module: &'m Module,
+        image: &Decoded,
+        cfg: VmConfig,
+        spec: RunSpec<'_>,
+    ) -> RunResult {
+        Self::run_instrumented(module, image, cfg, spec, None, false).0
     }
 
     /// [`Vm::run`] with tracing attached: phase/transaction spans and
@@ -456,8 +471,19 @@ impl<'m> Vm<'m> {
         spec: RunSpec<'_>,
         buf: &mut TraceBuf,
     ) -> RunResult {
+        Self::run_decoded_traced(module, &Self::decode(module, &cfg.cost), cfg, spec, buf)
+    }
+
+    /// [`Vm::run_traced`] over a shared image; see [`Vm::run_decoded`].
+    pub fn run_decoded_traced(
+        module: &'m Module,
+        image: &Decoded,
+        cfg: VmConfig,
+        spec: RunSpec<'_>,
+        buf: &mut TraceBuf,
+    ) -> RunResult {
         let (result, trace, _) =
-            Self::run_instrumented(module, cfg, spec, Some(std::mem::take(buf)), false);
+            Self::run_instrumented(module, image, cfg, spec, Some(std::mem::take(buf)), false);
         *buf = trace.expect("trace buffer attached for the whole run");
         result
     }
@@ -470,22 +496,34 @@ impl<'m> Vm<'m> {
         cfg: VmConfig,
         spec: RunSpec<'_>,
     ) -> (RunResult, CycleProfile) {
-        let (result, _, profile) = Self::run_instrumented(module, cfg, spec, None, true);
+        let image = Self::decode(module, &cfg.cost);
+        let (result, _, profile) = Self::run_instrumented(module, &image, cfg, spec, None, true);
         (result, profile.expect("profiler attached for the whole run"))
     }
 
-    /// The single execution path behind [`Vm::run`]/[`Vm::run_traced`]/
-    /// [`Vm::run_profiled`]: instrumentation hooks are `None`-checked on
-    /// the hot path, so the untraced run executes the same code either
-    /// way.
+    /// The single execution path behind every `run*` entry point:
+    /// instrumentation hooks are `None`-checked on the hot path, so the
+    /// untraced run executes the same code either way, and the decoded
+    /// image is always a caller's (the plain entry points decode first).
     fn run_instrumented(
         module: &'m Module,
+        image: &Decoded,
         cfg: VmConfig,
         spec: RunSpec<'_>,
         trace: Option<TraceBuf>,
         profiled: bool,
     ) -> (RunResult, Option<TraceBuf>, Option<CycleProfile>) {
         let mut vm = Vm::new(module, cfg);
+        assert!(
+            image.global_bases == vm.mem.global_bases,
+            "decoded image of `{}` does not match its global layout",
+            module.name
+        );
+        assert!(
+            image.cost == vm.cfg.cost,
+            "decoded image of `{}` was built under a different CostConfig",
+            module.name
+        );
         vm.trace = trace;
         if profiled {
             vm.profiler = Some(Profiler::new(vm.threads.len()));
@@ -493,21 +531,20 @@ impl<'m> Vm<'m> {
         let decoded = match vm.cfg.engine {
             Engine::Interp => None,
             Engine::Fused => {
-                let d = decode::Decoded::decode(module, &vm.mem, &vm.cfg.cost);
                 for t in &mut vm.threads {
-                    t.bp_dense = vec![0u8; d.n_condbrs.max(1)];
+                    t.bp_dense = vec![0u8; image.n_condbrs.max(1)];
                 }
-                Some(d)
+                Some(image)
             }
         };
-        let outcome = vm.run_phases(spec, decoded.as_ref());
+        let outcome = vm.run_phases(spec, decoded);
         let trace = vm.trace.take();
         let profile =
             vm.profiler.take().map(|p| p.into_profile(|fid| vm.m.func(FuncId(fid)).name.clone()));
         (vm.finish(outcome), trace, profile)
     }
 
-    fn run_phases(&mut self, spec: RunSpec<'_>, dc: Option<&decode::Decoded>) -> RunOutcome {
+    fn run_phases(&mut self, spec: RunSpec<'_>, dc: Option<&Decoded>) -> RunOutcome {
         if let Some(name) = spec.init {
             let before = self.wall_cycles;
             let out = self.run_serial(name, dc);
@@ -621,7 +658,7 @@ impl<'m> Vm<'m> {
         }
     }
 
-    fn run_serial(&mut self, name: &str, dc: Option<&decode::Decoded>) -> RunOutcome {
+    fn run_serial(&mut self, name: &str, dc: Option<&Decoded>) -> RunOutcome {
         let fid = self.func_id(name);
         assert!(self.m.func(fid).params.is_empty(), "serial phase {name} must take no params");
         self.reset_thread_for(0, fid, &[]);
@@ -638,7 +675,7 @@ impl<'m> Vm<'m> {
         out
     }
 
-    fn run_parallel(&mut self, name: &str, dc: Option<&decode::Decoded>) -> RunOutcome {
+    fn run_parallel(&mut self, name: &str, dc: Option<&Decoded>) -> RunOutcome {
         let fid = self.func_id(name);
         assert_eq!(self.m.func(fid).params.len(), 2, "worker {name} must take (tid, n)");
         let n = self.cfg.n_threads.max(1);
@@ -672,7 +709,7 @@ impl<'m> Vm<'m> {
     /// round-robin quantum scheduler leaves transactions open across
     /// other threads' entire quanta and inflates conflict rates by an
     /// order of magnitude).
-    fn schedule(&mut self, tids: &[usize], dc: Option<&decode::Decoded>) -> RunOutcome {
+    fn schedule(&mut self, tids: &[usize], dc: Option<&Decoded>) -> RunOutcome {
         loop {
             // Unblock pass: threads whose lock was released become ready.
             let mut all_done = true;
@@ -1779,7 +1816,7 @@ mod profile;
 pub use forensics::{FaultDetector, FaultSite, Forensics};
 pub use profile::{CycleProfile, OpClass as ProfileOpClass, ProfileCell};
 
-pub use fuse::FuseStats;
+pub use decode::Decoded;
 
 #[cfg(test)]
 mod tests;

@@ -26,7 +26,7 @@ use haft_ir::types::Ty;
 
 use super::{fuse, FUNC_BASE};
 use crate::cost::CostConfig;
-use crate::mem::Memory;
+use crate::mem::global_layout;
 
 /// A pre-resolved operand: a register slot in the current frame, or a
 /// constant whose value is fully known at decode time.
@@ -222,26 +222,41 @@ pub(crate) struct DFunc {
     pub ret_ty: Ty,
 }
 
-/// A fully decoded module, shared read-only by all threads of a run.
+/// A module's decoded image: every function lowered to the fused
+/// engine's dense form, built once by [`Vm::decode`](super::Vm::decode)
+/// and shared read-only by every run of that module
+/// ([`Vm::run_decoded`](super::Vm::run_decoded)), across threads too.
+///
+/// The image is a pure function of the module's code, its global sizes
+/// (global base addresses are baked into operands) and the
+/// [`CostConfig`] (opcode latencies are baked into ops). It records the
+/// last two, and `run_decoded` refuses an image whose layout or cost
+/// table differs from the run's, so a stale image cannot run silently.
+/// Rewriting global *init bytes* (as request patching does) keeps the
+/// layout, and so the image, valid.
 #[derive(Debug)]
-pub(crate) struct Decoded {
-    pub funcs: Vec<DFunc>,
+pub struct Decoded {
+    pub(crate) funcs: Vec<DFunc>,
     /// Phi-move pool, referenced by [`Edge`] ranges.
-    pub moves: Vec<PhiMove>,
+    pub(crate) moves: Vec<PhiMove>,
     /// Call-argument pool, referenced by call `args_at`/`args_n`.
-    pub args: Vec<Src>,
+    pub(crate) args: Vec<Src>,
     /// Static conditional-branch count (dense predictor table size).
-    pub n_condbrs: usize,
+    pub(crate) n_condbrs: usize,
     /// What the fusion pass found (diagnostics and tests).
-    pub stats: fuse::FuseStats,
+    pub(crate) stats: fuse::FuseStats,
+    /// The global layout the operands were resolved against.
+    pub(crate) global_bases: Vec<u64>,
+    /// The cost table the op latencies were taken from.
+    pub(crate) cost: CostConfig,
 }
 
-fn lower(o: &Operand, mem: &Memory) -> Src {
+fn lower(o: &Operand, bases: &[u64]) -> Src {
     match o {
         Operand::Value(v) => Src::Slot(v.0),
         Operand::Imm(v, ty) => Src::Const((*v as u64) & ty.mask()),
         Operand::F64Bits(b) => Src::Const(*b),
-        Operand::GlobalAddr(g) => Src::Const(mem.global_bases[g.0 as usize]),
+        Operand::GlobalAddr(g) => Src::Const(bases[g.0 as usize]),
         Operand::FuncAddr(f) => Src::Const(FUNC_BASE + f.0 as u64),
     }
 }
@@ -254,7 +269,7 @@ fn make_edge(
     block_start: &[usize],
     lead_phis: &[usize],
     moves: &mut Vec<PhiMove>,
-    mem: &Memory,
+    bases: &[u64],
 ) -> Edge {
     let at = moves.len() as u32;
     let tb = &f.blocks[to.0 as usize];
@@ -265,7 +280,7 @@ fn make_edge(
             if let Some((val, _)) = incomings.iter().find(|(_, b)| b.0 == from) {
                 moves.push(PhiMove {
                     dst: f.inst_result(iid).expect("phi has result").0,
-                    src: lower(val, mem),
+                    src: lower(val, bases),
                     ty: *ty,
                 });
             }
@@ -282,7 +297,9 @@ impl Decoded {
     /// Lowers every function of `m`. Pure function of the module, the
     /// global layout, and the cost table — safe to share across threads
     /// and runs.
-    pub(crate) fn decode(m: &Module, mem: &Memory, cost: &CostConfig) -> Decoded {
+    pub(crate) fn decode(m: &Module, cost: &CostConfig) -> Decoded {
+        let (global_bases, _) = global_layout(m);
+        let bases = global_bases.as_slice();
         let mut moves = Vec::new();
         let mut args: Vec<Src> = Vec::new();
         let mut n_condbrs = 0usize;
@@ -314,47 +331,47 @@ impl Decoded {
                         Op::Bin { op, ty, a, b } => DOp::Bin {
                             op: *op,
                             ty: *ty,
-                            a: lower(a, mem),
-                            b: lower(b, mem),
+                            a: lower(a, bases),
+                            b: lower(b, bases),
                             dst: dst.expect("bin has result"),
                             lat: cost.compute_latency(&inst.op),
                         },
                         Op::Un { op, ty, a } => DOp::Un {
                             op: *op,
                             ty: *ty,
-                            a: lower(a, mem),
+                            a: lower(a, bases),
                             dst: dst.expect("un has result"),
                             lat: cost.compute_latency(&inst.op),
                         },
                         Op::Cmp { op, ty, a, b } => DOp::Cmp {
                             op: *op,
                             ty: *ty,
-                            a: lower(a, mem),
-                            b: lower(b, mem),
+                            a: lower(a, bases),
+                            b: lower(b, bases),
                             dst: dst.expect("cmp has result"),
                         },
                         Op::Move { ty, a } => DOp::MoveV {
                             ty: *ty,
-                            a: lower(a, mem),
+                            a: lower(a, bases),
                             dst: dst.expect("move has result"),
                         },
                         Op::Cast { kind, to, a } => DOp::Cast {
                             kind: *kind,
                             from: f.operand_ty(a),
                             to: *to,
-                            a: lower(a, mem),
+                            a: lower(a, bases),
                             dst: dst.expect("cast has result"),
                         },
                         Op::Select { ty, c, t, f: fv } => DOp::Select {
                             ty: *ty,
-                            c: lower(c, mem),
-                            t: lower(t, mem),
-                            f: lower(fv, mem),
+                            c: lower(c, bases),
+                            t: lower(t, bases),
+                            f: lower(fv, bases),
                             dst: dst.expect("select has result"),
                         },
                         Op::Gep { base, index, scale, offset } => DOp::Gep {
-                            base: lower(base, mem),
-                            index: lower(index, mem),
+                            base: lower(base, bases),
+                            index: lower(index, bases),
                             scale: *scale as i64,
                             offset: *offset as u64,
                             dst: dst.expect("gep has result"),
@@ -362,32 +379,32 @@ impl Decoded {
                         Op::Phi { .. } => DOp::TrapMalformed,
                         Op::Load { ty, addr, atomic } => DOp::Load {
                             ty: *ty,
-                            addr: lower(addr, mem),
+                            addr: lower(addr, bases),
                             atomic: *atomic,
                             dst: dst.expect("load has result"),
                         },
                         Op::Store { ty, val, addr, atomic } => DOp::Store {
                             ty: *ty,
-                            val: lower(val, mem),
-                            addr: lower(addr, mem),
+                            val: lower(val, bases),
+                            addr: lower(addr, bases),
                             atomic: *atomic,
                         },
                         Op::Rmw { op, ty, addr, val } => DOp::Rmw {
                             op: *op,
                             ty: *ty,
-                            addr: lower(addr, mem),
-                            val: lower(val, mem),
+                            addr: lower(addr, bases),
+                            val: lower(val, bases),
                             dst: dst.expect("rmw has result"),
                         },
                         Op::CmpXchg { ty, addr, expected, new } => DOp::CmpXchg {
                             ty: *ty,
-                            addr: lower(addr, mem),
-                            expected: lower(expected, mem),
-                            new: lower(new, mem),
+                            addr: lower(addr, bases),
+                            expected: lower(expected, bases),
+                            new: lower(new, bases),
                             dst: dst.expect("cmpxchg has result"),
                         },
                         Op::Alloc { size } => DOp::Alloc {
-                            size: lower(size, mem),
+                            size: lower(size, bases),
                             dst: dst.expect("alloc has result"),
                         },
                         Op::Br { dest } => DOp::Br {
@@ -398,14 +415,14 @@ impl Decoded {
                                 &block_start,
                                 &lead_phis,
                                 &mut moves,
-                                mem,
+                                bases,
                             ),
                         },
                         Op::CondBr { cond, t, f: fb } => {
                             let bp = n_condbrs as u32;
                             n_condbrs += 1;
                             DOp::CondBr {
-                                cond: lower(cond, mem),
+                                cond: lower(cond, bases),
                                 t: make_edge(
                                     f,
                                     bi as u32,
@@ -413,7 +430,7 @@ impl Decoded {
                                     &block_start,
                                     &lead_phis,
                                     &mut moves,
-                                    mem,
+                                    bases,
                                 ),
                                 f: make_edge(
                                     f,
@@ -422,7 +439,7 @@ impl Decoded {
                                     &block_start,
                                     &lead_phis,
                                     &mut moves,
-                                    mem,
+                                    bases,
                                 ),
                                 bp,
                             }
@@ -430,7 +447,7 @@ impl Decoded {
                         Op::Call { callee, args: call_args, ret_ty: _ } => {
                             let at = args.len() as u32;
                             for a in call_args {
-                                args.push(lower(a, mem));
+                                args.push(lower(a, bases));
                             }
                             let n = call_args.len() as u32;
                             match callee {
@@ -442,14 +459,14 @@ impl Decoded {
                                     arity_ok: m.func(*t).params.len() == call_args.len(),
                                 },
                                 Callee::Indirect(o) => DOp::CallInd {
-                                    callee: lower(o, mem),
+                                    callee: lower(o, bases),
                                     args_at: at,
                                     args_n: n,
                                     dst,
                                 },
                             }
                         }
-                        Op::Ret { val } => DOp::Ret { val: val.as_ref().map(|v| lower(v, mem)) },
+                        Op::Ret { val } => DOp::Ret { val: val.as_ref().map(|v| lower(v, bases)) },
                         Op::TxBegin => DOp::TxBegin,
                         Op::TxEnd => DOp::TxEnd,
                         Op::TxCondSplit => DOp::TxCondSplit,
@@ -460,21 +477,21 @@ impl Decoded {
                         },
                         Op::Vote { ty, a, b, c } => DOp::Vote {
                             ty: *ty,
-                            a: lower(a, mem),
-                            b: lower(b, mem),
-                            c: lower(c, mem),
+                            a: lower(a, bases),
+                            b: lower(b, bases),
+                            c: lower(c, bases),
                             dst: dst.expect("vote has result"),
                         },
                         Op::ChkCorrect { ty, a, b, c } => DOp::ChkCorrect {
                             ty: *ty,
-                            a: lower(a, mem),
-                            b: lower(b, mem),
-                            c: lower(c, mem),
+                            a: lower(a, bases),
+                            b: lower(b, bases),
+                            c: lower(c, bases),
                             dst: dst.expect("chk_correct has result"),
                         },
-                        Op::Lock { addr } => DOp::Lock { addr: lower(addr, mem) },
-                        Op::Unlock { addr } => DOp::Unlock { addr: lower(addr, mem) },
-                        Op::Emit { ty: _, val } => DOp::Emit { val: lower(val, mem) },
+                        Op::Lock { addr } => DOp::Lock { addr: lower(addr, bases) },
+                        Op::Unlock { addr } => DOp::Unlock { addr: lower(addr, bases) },
+                        Op::Emit { ty: _, val } => DOp::Emit { val: lower(val, bases) },
                         Op::ThreadId => DOp::ThreadIdD { dst: dst.expect("thread_id has result") },
                         Op::NumThreads => {
                             DOp::NumThreadsD { dst: dst.expect("num_threads has result") }
@@ -495,7 +512,7 @@ impl Decoded {
                 ret_ty: f.ret_ty.unwrap_or(Ty::I64),
             });
         }
-        Decoded { funcs, moves, args, n_condbrs, stats }
+        Decoded { funcs, moves, args, n_condbrs, stats, global_bases, cost: cost.clone() }
     }
 }
 
@@ -505,8 +522,7 @@ mod tests {
     use haft_ir::function::ValueId;
 
     fn decode_module(m: &Module) -> Decoded {
-        let mem = Memory::new(m, 1 << 16);
-        Decoded::decode(m, &mem, &CostConfig::default())
+        Decoded::decode(m, &CostConfig::default())
     }
 
     /// Builds `fn f() { b0: br b1; b1: phi [(7, b0)]; ret phi }`.
@@ -571,8 +587,8 @@ mod tests {
         let (ret, _) = f.create_inst(Op::Ret { val: None });
         f.push_to_block(f.entry(), ret);
         m.push_func(f);
-        let mem = Memory::new(&m, 1 << 16);
-        let d = Decoded::decode(&m, &mem, &CostConfig::default());
+        let mem = crate::mem::Memory::new(&m, 1 << 16);
+        let d = decode_module(&m);
         let DOp::Load { addr, .. } = d.funcs[0].code[0] else { panic!() };
         assert_eq!(addr, Src::Const(mem.global_bases[0]));
         let DOp::Bin { b, a, .. } = d.funcs[0].code[1] else { panic!() };

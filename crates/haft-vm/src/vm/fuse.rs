@@ -38,7 +38,7 @@ use super::decode::{DOp, Src};
 
 /// Counts of fused pairs found at decode time, by pattern.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct FuseStats {
+pub(crate) struct FuseStats {
     /// compute→compute and load→compute (ILR master/shadow idiom).
     pub alu_pairs: usize,
     /// compare→conditional-branch on the compare's result.

@@ -797,3 +797,51 @@ fn phase_cycles_partition_wall_cycles() {
     assert_eq!(no_init.phases.init, 0);
     assert_eq!(no_init.phases.fini, no_init.wall_cycles);
 }
+
+/// `fini` loads the 8-byte global `x` (initialised to `init`) and emits
+/// it doubled.
+fn global_echo_module(init: u64) -> Module {
+    let mut m = Module::new("t");
+    let g = m.add_global_init("x", init.to_le_bytes().to_vec());
+    let mut fb = FunctionBuilder::new("fini", &[], None);
+    fb.set_non_local();
+    let v = fb.load(Ty::I64, Operand::GlobalAddr(g));
+    let d = fb.add(Ty::I64, v, v);
+    fb.emit_out(Ty::I64, d);
+    fb.ret(None);
+    m.push_func(fb.finish());
+    m
+}
+
+#[test]
+fn one_image_serves_every_init_byte_rewrite() {
+    let fini = RunSpec { fini: Some("fini"), ..Default::default() };
+    let image = Vm::decode(&global_echo_module(0), &CostConfig::default());
+    for (init, engine) in [(1, Engine::Fused), (21, Engine::Fused), (5, Engine::Interp)] {
+        let m = global_echo_module(init);
+        let cfg = VmConfig { engine, ..Default::default() };
+        let shared = Vm::run_decoded(&m, &image, cfg.clone(), fini);
+        assert_eq!(shared.output, vec![2 * init]);
+        assert_eq!(shared, Vm::run(&m, cfg, fini));
+    }
+}
+
+#[test]
+#[should_panic(expected = "does not match its global layout")]
+fn image_of_another_global_layout_is_rejected() {
+    let image = Vm::decode(&global_echo_module(0), &CostConfig::default());
+    let mut m = global_echo_module(0);
+    m.add_global("pad", 8);
+    // `pad` now comes first, which moves `x` to the next cache line.
+    m.globals.rotate_right(1);
+    Vm::run_decoded(&m, &image, VmConfig::default(), RunSpec::default());
+}
+
+#[test]
+#[should_panic(expected = "different CostConfig")]
+fn image_of_another_cost_table_is_rejected() {
+    let m = global_echo_module(0);
+    let image = Vm::decode(&m, &CostConfig::default());
+    let cost = CostConfig { lat_load_hit: 5, ..CostConfig::default() };
+    Vm::run_decoded(&m, &image, VmConfig { cost, ..Default::default() }, RunSpec::default());
+}

@@ -10,7 +10,9 @@
 //! `corrected_by_vote`, `corrected_by_checksum`, mispredicts) across a
 //! grid of generated programs, hardening backends, transaction
 //! thresholds, and fault injections. Any divergence — one cycle, one
-//! abort, one vote, one checksum correction — fails.
+//! abort, one vote, one checksum correction — fails. The same equality
+//! pins runs on a shared decoded image ([`Vm::run_decoded`]) to runs
+//! that decode for themselves.
 
 use std::collections::BTreeMap;
 
@@ -165,6 +167,46 @@ proptest! {
             let fi = exp.clone().engine(Engine::Interp).run_with_fault(plan).run;
             let ff = exp.clone().engine(Engine::Fused).run_with_fault(plan).run;
             prop_assert_eq!(&fi, &ff, "{}: faulted runs diverge at occurrence {}", label, occurrence);
+        }
+    }
+
+    /// One decoded image per hardened module serves the whole grid —
+    /// both engines, every threshold, clean and faulted — and every run
+    /// on it equals a plain `Vm::run`, which decodes for itself.
+    #[test]
+    fn shared_image_runs_equal_fresh_decodes(
+        steps in proptest::collection::vec(step_strategy(), 1..24),
+        seed in any::<u64>(),
+        occ_seed in any::<u64>(),
+        mask in 1u64..,
+    ) {
+        let m = build_program(&steps);
+        let configs = [
+            HardenConfig::native(),
+            HardenConfig::haft(),
+            HardenConfig::tmr(),
+            HardenConfig::abft(),
+        ];
+        for hc in configs {
+            let label = hc.label();
+            let (hardened, _) = Experiment::new(&m).harden(hc).build();
+            let image = Vm::decode(&hardened, &haft::vm::CostConfig::default());
+            for engine in [Engine::Interp, Engine::Fused] {
+                for tx_threshold in [250u64, 1000, 4000] {
+                    let cfg = VmConfig { engine, tx_threshold, seed, ..VmConfig::default() };
+                    let clean = Vm::run(&hardened, cfg.clone(), fini_spec());
+                    let occurrence = occ_seed % clean.register_writes.max(1);
+                    let fault = Some(FaultPlan { occurrence, xor_mask: mask });
+                    for cfg in [cfg.clone(), VmConfig { fault, ..cfg }] {
+                        prop_assert_eq!(
+                            &Vm::run_decoded(&hardened, &image, cfg.clone(), fini_spec()),
+                            &Vm::run(&hardened, cfg.clone(), fini_spec()),
+                            "{} {:?} threshold={} fault={:?}",
+                            label, engine, tx_threshold, cfg.fault
+                        );
+                    }
+                }
+            }
         }
     }
 }
