@@ -1,8 +1,10 @@
-//! Campaign driver: plan, inject, classify — in parallel.
+//! Campaign driver: plan, fork, inject, classify — in parallel.
+
+use std::sync::{mpsc, Arc, Mutex};
 
 use haft_ir::module::Module;
 use haft_ir::rng::Prng;
-use haft_vm::{FaultPlan, RunOutcome, RunSpec, Vm, VmConfig};
+use haft_vm::{Decoded, FaultPlan, Fork, GoldenRun, RunOutcome, RunSpec, Vm, VmConfig};
 
 use crate::classify::classify;
 use crate::report::CampaignReport;
@@ -15,9 +17,9 @@ pub struct CampaignConfig {
     pub injections: u64,
     /// Seed for fault planning.
     pub seed: u64,
-    /// OS threads to spread the runs over. A value of `0` is clamped to
-    /// `1` by [`run_campaign`] (serial execution) rather than treated as
-    /// an error.
+    /// Worker threads that run the injections; the fork driver runs on
+    /// the calling thread beside them. A value of `0` is clamped to `1`
+    /// by [`run_campaign`] rather than treated as an error.
     pub parallelism: usize,
     /// VM configuration for every run (simulated thread count, HTM
     /// parameters, ...). The fault plan and forensics fields are
@@ -43,77 +45,91 @@ impl Default for CampaignConfig {
 }
 
 /// Runs a full campaign against `module` and returns the aggregated
-/// report plus the golden (fault-free) output.
+/// report. The module is decoded once; the reference run and every
+/// injection run share the image.
 ///
 /// # Panics
 ///
 /// Panics if the fault-free reference run does not complete — the program
 /// under test must be correct before injecting faults into it.
 pub fn run_campaign(module: &Module, spec: RunSpec<'_>, cfg: &CampaignConfig) -> CampaignReport {
-    // Step 1: reference run — trace size and golden output.
-    let mut ref_cfg = cfg.vm.clone();
-    ref_cfg.fault = None;
-    let golden = Vm::run(module, ref_cfg, spec);
-    run_campaign_from(module, spec, cfg, &golden)
+    let image = Vm::decode(module, &cfg.vm.cost);
+    let ref_cfg = VmConfig { fault: None, ..cfg.vm.clone() };
+    let golden = Vm::run_golden(module, &image, ref_cfg, spec);
+    run_campaign_from(module, &image, spec, cfg, &golden)
 }
 
-/// Like [`run_campaign`], but reuses a `golden` reference run the caller
-/// has already performed (with `cfg.vm` and no fault) instead of
-/// re-executing it. Used by the `haft` facade's `Experiment`, which needs
+/// Like [`run_campaign`], but reuses an image and a `golden` reference
+/// run (from [`Vm::run_golden`] with `cfg.vm` and no fault) the caller
+/// already has. Used by the `haft` facade's `Experiment`, which needs
 /// the reference [`haft_vm::RunResult`] for its own report anyway.
+///
+/// Every injection is forked from a fault-free driver run at the last
+/// scheduler window before its fault (see [`Vm::run_forks`]), so no run
+/// replays the fault-free prefix. Workers take the forks from a queue
+/// that holds at most `parallelism` of them, so at most the driver plus
+/// `2 × parallelism` copies of the run state are live at once.
 ///
 /// # Panics
 ///
 /// Panics if `golden` is not a completed run.
 pub fn run_campaign_from(
     module: &Module,
+    image: &Decoded,
     spec: RunSpec<'_>,
     cfg: &CampaignConfig,
-    golden: &haft_vm::RunResult,
+    golden: &GoldenRun,
 ) -> CampaignReport {
-    assert_eq!(golden.outcome, RunOutcome::Completed, "reference run must complete cleanly");
-    let population = golden.register_writes.max(1);
+    let reference = &golden.result;
+    assert_eq!(reference.outcome, RunOutcome::Completed, "reference run must complete cleanly");
+    let population = reference.register_writes.max(1);
 
     // Step 2: plan the injections (uniform over the dynamic trace, random
-    // XOR masks — the paper's weighted-random selection).
-    let plans = plan_injections(cfg.seed, cfg.injections, population);
+    // XOR masks — the paper's weighted-random selection), in trace order
+    // for the fork driver.
+    let mut plans = plan_injections(cfg.seed, cfg.injections, population);
+    plans.sort_by_key(|p| p.occurrence);
 
-    // Step 3: execute and classify, fanned out over OS threads, every
-    // run on one shared decoded image of the module. `parallelism: 0`
-    // clamps to serial execution; outcome counts are identical at any
-    // worker count (each run is independent).
-    let image = Vm::decode(module, &cfg.vm.cost);
+    // Step 3: the driver forks, the workers run and classify.
+    // `parallelism: 0` clamps to one worker; the report is the same at
+    // any worker count, since every count it keeps is a sum.
     let workers = cfg.parallelism.max(1);
-    let chunk = plans.len().div_ceil(workers);
-    let mut report = CampaignReport::default();
+    let fork_cfg = VmConfig { forensics: cfg.forensics, ..cfg.vm.clone() };
     std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for piece in plans.chunks(chunk.max(1)) {
-            let vm_cfg = cfg.vm.clone();
-            let golden_out = &golden.output;
-            let forensics = cfg.forensics;
-            let image = &image;
-            handles.push(scope.spawn(move || {
-                let mut local = CampaignReport::default();
-                for plan in piece {
-                    let mut c = vm_cfg.clone();
-                    c.fault = Some(*plan);
-                    c.forensics = forensics;
-                    let r = Vm::run_decoded(module, image, c, spec);
-                    let o = classify(&r, golden_out);
-                    local.record(o);
-                    if let Some(fx) = &r.forensics {
-                        local.record_forensics(o, fx);
+        let (queue, forks) = mpsc::sync_channel::<Fork<'_>>(workers - 1);
+        // Owned by the workers alone: once the last one exits, a send
+        // fails instead of blocking the driver for good.
+        let forks = Arc::new(Mutex::new(forks));
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                let forks = Arc::clone(&forks);
+                scope.spawn(move || {
+                    let mut local = CampaignReport::default();
+                    loop {
+                        let next = forks.lock().expect("fork queue").recv();
+                        let Ok(fork) = next else { break };
+                        let r = fork.run();
+                        let o = classify(&r, &reference.output);
+                        local.record(o);
+                        if let Some(fx) = &r.forensics {
+                            local.record_forensics(o, fx);
+                        }
                     }
-                }
-                local
-            }));
-        }
+                    local
+                })
+            })
+            .collect();
+        drop(forks);
+        Vm::run_forks(module, image, fork_cfg, spec, golden, &plans, |fork| {
+            queue.send(fork).expect("every campaign worker panicked");
+        });
+        drop(queue);
+        let mut report = CampaignReport::default();
         for h in handles {
             report.merge(&h.join().expect("campaign worker panicked"));
         }
-    });
-    report
+        report
+    })
 }
 
 /// Draws the injection plans: occurrences uniform over the dynamic
@@ -183,6 +199,118 @@ mod tests {
 
     fn spec() -> RunSpec<'static> {
         RunSpec { fini: Some("fini"), ..Default::default() }
+    }
+
+    /// Three phases on two threads: `init` fills a table, each worker
+    /// adds its half into a lock-protected sum, `fini` emits the sum. Its
+    /// faults land in every phase and on both threads.
+    fn phased_program() -> Module {
+        let mut m = Module::new("phased");
+        m.add_global("table", 8 * 32);
+        m.add_global("sum", 8);
+        m.add_global("lock", 8);
+        let table = Operand::GlobalAddr(GlobalId(0));
+        let sum = Operand::GlobalAddr(GlobalId(1));
+        let lock = Operand::GlobalAddr(GlobalId(2));
+
+        let mut init = FunctionBuilder::new("init", &[], None);
+        init.set_non_local();
+        init.counted_loop(init.iconst(Ty::I64, 0), init.iconst(Ty::I64, 32), |b, i| {
+            let v = b.mul(Ty::I64, i, b.iconst(Ty::I64, 3));
+            let a = b.gep(table, i, 8, 0);
+            b.store(Ty::I64, v, a);
+        });
+        init.ret(None);
+        m.push_func(init.finish());
+
+        let mut w = FunctionBuilder::new("worker", &[Ty::I64, Ty::I64], None);
+        w.set_non_local();
+        let start = w.mul(Ty::I64, w.param(0), w.iconst(Ty::I64, 16));
+        let end = w.add(Ty::I64, start, w.iconst(Ty::I64, 16));
+        w.counted_loop(start, end, |b, i| {
+            let a = b.gep(table, i, 8, 0);
+            let v = b.load(Ty::I64, a);
+            b.lock(lock);
+            let cur = b.load(Ty::I64, sum);
+            let next = b.add(Ty::I64, cur, v);
+            b.store(Ty::I64, next, sum);
+            b.unlock(lock);
+        });
+        w.ret(None);
+        m.push_func(w.finish());
+
+        let mut fini = FunctionBuilder::new("fini", &[], None);
+        fini.set_non_local();
+        let v = fini.load(Ty::I64, sum);
+        fini.emit_out(Ty::I64, v);
+        fini.ret(None);
+        m.push_func(fini.finish());
+        m
+    }
+
+    /// The campaign before forking: every plan runs from instruction 0
+    /// on the shared image and is classified and recorded in plan order.
+    fn from_scratch_campaign(
+        m: &Module,
+        spec: RunSpec<'_>,
+        cfg: &CampaignConfig,
+    ) -> CampaignReport {
+        let image = Vm::decode(m, &cfg.vm.cost);
+        let golden = Vm::run_decoded(m, &image, VmConfig { fault: None, ..cfg.vm.clone() }, spec);
+        let mut report = CampaignReport::default();
+        for plan in plan_injections(cfg.seed, cfg.injections, golden.register_writes.max(1)) {
+            let c = VmConfig { fault: Some(plan), forensics: cfg.forensics, ..cfg.vm.clone() };
+            let r = Vm::run_decoded(m, &image, c, spec);
+            let o = classify(&r, &golden.output);
+            report.record(o);
+            if let Some(fx) = &r.forensics {
+                report.record_forensics(o, fx);
+            }
+        }
+        report
+    }
+
+    #[test]
+    fn forked_campaign_equals_from_scratch_runs() {
+        let phased = RunSpec { init: Some("init"), worker: Some("worker"), fini: Some("fini") };
+        let programs = [(program(), spec(), 1), (phased_program(), phased, 2)];
+        let backends = [
+            HardenConfig::native(),
+            HardenConfig::ilr_only(),
+            HardenConfig::haft(),
+            HardenConfig::tmr(),
+            HardenConfig::abft(),
+        ];
+        for (m, spec, n_threads) in &programs {
+            for hc in &backends {
+                let hardened = harden(m, hc);
+                for (injections, forensics) in [(30, false), (30, true), (0, false), (0, true)] {
+                    let mut cfg = campaign(injections);
+                    cfg.vm.n_threads = *n_threads;
+                    // Both goldens take a few thousand instructions; a
+                    // tight budget keeps the hangs cheap.
+                    cfg.vm.max_instructions = 100_000;
+                    cfg.forensics = forensics;
+                    let want = from_scratch_campaign(&hardened, *spec, &cfg);
+                    assert_eq!(want.runs, injections);
+                    for parallelism in 0..=3 {
+                        let got = run_campaign(
+                            &hardened,
+                            *spec,
+                            &CampaignConfig { parallelism, ..cfg.clone() },
+                        );
+                        let at = format!(
+                            "{} {} forensics={forensics} parallelism={parallelism}",
+                            m.name,
+                            hc.label()
+                        );
+                        assert_eq!(got.runs, want.runs, "{at}");
+                        assert_eq!(got.counts, want.counts, "{at}");
+                        assert_eq!(got.forensics, want.forensics, "{at}");
+                    }
+                }
+            }
+        }
     }
 
     fn campaign(n: u64) -> CampaignConfig {

@@ -19,7 +19,9 @@
 //!
 //! Campaigns are deterministic (seeded) and parallelized across OS
 //! threads with `std::thread::scope` — the in-process stand-in for the
-//! paper's 25-machine injection cluster.
+//! paper's 25-machine injection cluster. Injection runs are forked from
+//! a fault-free run at the scheduler window before their fault
+//! ([`haft_vm::Vm::run_forks`]), so none replays the fault-free prefix.
 
 pub mod campaign;
 pub mod classify;

@@ -26,8 +26,8 @@ pub use cost::CostConfig;
 pub use fault::FaultPlan;
 pub use mem::{Memory, Trap};
 pub use vm::{
-    CycleProfile, Decoded, Engine, FaultDetector, FaultSite, Forensics, PhaseCycles, ProfileCell,
-    ProfileOpClass, RunOutcome, RunResult, RunSpec, Vm, VmConfig,
+    CycleProfile, Decoded, Engine, FaultDetector, FaultSite, Forensics, Fork, GoldenRun,
+    PhaseCycles, ProfileCell, ProfileOpClass, RunOutcome, RunResult, RunSpec, Vm, VmConfig,
 };
 
 // The `haft-runtime` pool runs one VM per shard actor across OS threads,
@@ -45,4 +45,8 @@ const _: () = {
     assert_send_sync::<RunResult>();
     assert_send_sync::<CostConfig>();
     assert_send_sync::<FaultPlan>();
+    assert_send_sync::<GoldenRun>();
+    // Campaign workers run forks handed over by the driver's thread.
+    const fn assert_send<T: Send>() {}
+    assert_send::<Fork<'static>>();
 };

@@ -248,7 +248,7 @@ struct TxSnapshot {
     counter: u64,
 }
 
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 struct Thread {
     frames: Vec<Frame>,
     state: ThreadState,
@@ -369,6 +369,28 @@ pub struct Vm<'m> {
     /// set *and* a fault plan is armed — clean runs pay one `None`
     /// branch per instruction and nothing else.
     forensics: Option<Box<forensics::ForensicsState>>,
+    /// Where the run stands; see [`Cursor`].
+    cursor: Cursor,
+    /// `occ` at the top of every scheduler window, recorded only by
+    /// [`Vm::run_golden`]: the fork points of [`Vm::run_forks`].
+    window_occ: Option<Vec<u64>>,
+    /// Window index at whose top the run pauses (a fork driver only).
+    pause_at: Option<u64>,
+}
+
+/// Where a run stands between two scheduler windows. At the top of a
+/// window every loop-carried value of the run lives in [`Vm`] plus this
+/// cursor, so a run paused there, cloned, and resumed re-enters the
+/// same phase at the same window, bit for bit.
+#[derive(Clone, Copy, Debug, Default)]
+struct Cursor {
+    /// Index into `[init, worker, fini]` of the phase executing next.
+    phase: usize,
+    /// The phase's threads are set up: resuming skips
+    /// `reset_thread_for` and enters its scheduler directly.
+    entered: bool,
+    /// Scheduler windows started so far, over all phases.
+    window: u64,
 }
 
 impl<'m> Vm<'m> {
@@ -408,6 +430,46 @@ impl<'m> Vm<'m> {
             trace: None,
             profiler: None,
             forensics,
+            cursor: Cursor::default(),
+            window_occ: None,
+            pause_at: None,
+        }
+    }
+
+    /// [`Vm::new`] set up to run on `image`: checks that the image fits
+    /// the module and the cost model, and sizes the fused engine's
+    /// branch tables.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `image` was decoded for a different global layout or
+    /// under a different `cfg.cost`.
+    fn on_image(module: &'m Module, image: &Decoded, cfg: VmConfig) -> Self {
+        let mut vm = Vm::new(module, cfg);
+        assert!(
+            image.global_bases == vm.mem.global_bases,
+            "decoded image of `{}` does not match its global layout",
+            module.name
+        );
+        assert!(
+            image.cost == vm.cfg.cost,
+            "decoded image of `{}` was built under a different CostConfig",
+            module.name
+        );
+        if vm.cfg.engine == Engine::Fused {
+            for t in &mut vm.threads {
+                t.bp_dense = vec![0u8; image.n_condbrs.max(1)];
+            }
+        }
+        vm
+    }
+
+    /// The image the configured engine dispatches on: the fused engine
+    /// runs `image`, the interpreter walks the IR.
+    fn dispatch<'d>(&self, image: &'d Decoded) -> Option<&'d Decoded> {
+        match self.cfg.engine {
+            Engine::Interp => None,
+            Engine::Fused => Some(image),
         }
     }
 
@@ -513,69 +575,49 @@ impl<'m> Vm<'m> {
         trace: Option<TraceBuf>,
         profiled: bool,
     ) -> (RunResult, Option<TraceBuf>, Option<CycleProfile>) {
-        let mut vm = Vm::new(module, cfg);
-        assert!(
-            image.global_bases == vm.mem.global_bases,
-            "decoded image of `{}` does not match its global layout",
-            module.name
-        );
-        assert!(
-            image.cost == vm.cfg.cost,
-            "decoded image of `{}` was built under a different CostConfig",
-            module.name
-        );
+        let mut vm = Vm::on_image(module, image, cfg);
         vm.trace = trace;
         if profiled {
             vm.profiler = Some(Profiler::new(vm.threads.len()));
         }
-        let decoded = match vm.cfg.engine {
-            Engine::Interp => None,
-            Engine::Fused => {
-                for t in &mut vm.threads {
-                    t.bp_dense = vec![0u8; image.n_condbrs.max(1)];
-                }
-                Some(image)
-            }
-        };
-        let outcome = vm.run_phases(spec, decoded);
+        let outcome = vm.run_phases(spec, vm.dispatch(image)).expect("only a fork driver pauses");
         let trace = vm.trace.take();
         let profile =
             vm.profiler.take().map(|p| p.into_profile(|fid| vm.m.func(FuncId(fid)).name.clone()));
         (vm.finish(outcome), trace, profile)
     }
 
-    fn run_phases(&mut self, spec: RunSpec<'_>, dc: Option<&Decoded>) -> RunOutcome {
-        if let Some(name) = spec.init {
-            let before = self.wall_cycles;
-            let out = self.run_serial(name, dc);
-            self.phases.init = self.wall_cycles - before;
-            self.trace_phase("phase.init", before);
-            match out {
-                RunOutcome::Completed => {}
-                other => return other,
+    /// Runs the phases of `spec` from the cursor on: from the start on a
+    /// fresh VM, from the paused window on a resumed one. `None` means
+    /// the run paused at `pause_at`.
+    fn run_phases(&mut self, spec: RunSpec<'_>, dc: Option<&Decoded>) -> Option<RunOutcome> {
+        const SPANS: [&str; 3] = ["phase.init", "phase.worker", "phase.fini"];
+        let entries = [spec.init, spec.worker, spec.fini];
+        while let Some(&entry) = entries.get(self.cursor.phase) {
+            if let Some(name) = entry {
+                let n = if self.cursor.phase == 1 { self.cfg.n_threads.max(1) } else { 1 };
+                if !self.cursor.entered {
+                    self.enter_phase(name, n);
+                    self.cursor.entered = true;
+                }
+                let before = self.wall_cycles;
+                let out = self.schedule(n, dc)?;
+                self.close_phase(n);
+                let cycles = self.wall_cycles - before;
+                match self.cursor.phase {
+                    0 => self.phases.init = cycles,
+                    1 => self.phases.worker = cycles,
+                    _ => self.phases.fini = cycles,
+                }
+                self.trace_phase(SPANS[self.cursor.phase], before);
+                if out != RunOutcome::Completed {
+                    return Some(out);
+                }
             }
+            self.cursor.phase += 1;
+            self.cursor.entered = false;
         }
-        if let Some(name) = spec.worker {
-            let before = self.wall_cycles;
-            let out = self.run_parallel(name, dc);
-            self.phases.worker = self.wall_cycles - before;
-            self.trace_phase("phase.worker", before);
-            match out {
-                RunOutcome::Completed => {}
-                other => return other,
-            }
-        }
-        if let Some(name) = spec.fini {
-            let before = self.wall_cycles;
-            let out = self.run_serial(name, dc);
-            self.phases.fini = self.wall_cycles - before;
-            self.trace_phase("phase.fini", before);
-            match out {
-                RunOutcome::Completed => {}
-                other => return other,
-            }
-        }
-        RunOutcome::Completed
+        Some(RunOutcome::Completed)
     }
 
     /// Emits one phase span covering `[before, wall_cycles)` (raw cycles).
@@ -658,45 +700,36 @@ impl<'m> Vm<'m> {
         }
     }
 
-    fn run_serial(&mut self, name: &str, dc: Option<&Decoded>) -> RunOutcome {
+    /// Sets up a phase on threads `0..n`: the serial phases run `name()`
+    /// on thread 0, the parallel phase `name(tid, n)` on every thread.
+    fn enter_phase(&mut self, name: &str, n: usize) {
         let fid = self.func_id(name);
-        assert!(self.m.func(fid).params.is_empty(), "serial phase {name} must take no params");
-        self.reset_thread_for(0, fid, &[]);
-        if let Some(p) = self.profiler.as_mut() {
-            p.phase_start(0);
+        if self.cursor.phase == 1 {
+            assert_eq!(self.m.func(fid).params.len(), 2, "worker {name} must take (tid, n)");
+        } else {
+            assert!(self.m.func(fid).params.is_empty(), "serial phase {name} must take no params");
         }
-        let out = self.schedule(&[0], dc);
-        let clk = self.threads[0].sb.clock;
-        if let Some(p) = self.profiler.as_mut() {
-            p.flush(0, clk);
-        }
-        self.wall_cycles += clk;
-        self.cpu_cycles += clk;
-        out
-    }
-
-    fn run_parallel(&mut self, name: &str, dc: Option<&Decoded>) -> RunOutcome {
-        let fid = self.func_id(name);
-        assert_eq!(self.m.func(fid).params.len(), 2, "worker {name} must take (tid, n)");
-        let n = self.cfg.n_threads.max(1);
         for tid in 0..n {
-            self.reset_thread_for(tid, fid, &[tid as u64, n as u64]);
+            let worker_args = [tid as u64, n as u64];
+            let args = if self.cursor.phase == 1 { &worker_args[..] } else { &[] };
+            self.reset_thread_for(tid, fid, args);
             if let Some(p) = self.profiler.as_mut() {
                 p.phase_start(tid);
             }
         }
-        let tids: Vec<usize> = (0..n).collect();
-        let out = self.schedule(&tids, dc);
+    }
+
+    /// Charges a finished (or stopped) phase on threads `0..n`: wall
+    /// time is the slowest thread, CPU time the sum.
+    fn close_phase(&mut self, n: usize) {
         if let Some(p) = self.profiler.as_mut() {
-            for &tid in &tids {
+            for tid in 0..n {
                 p.flush(tid, self.threads[tid].sb.clock);
             }
         }
-        let wall = tids.iter().map(|&t| self.threads[t].sb.clock).max().unwrap_or(0);
-        let cpu: u64 = tids.iter().map(|&t| self.threads[t].sb.clock).sum();
-        self.wall_cycles += wall;
-        self.cpu_cycles += cpu;
-        out
+        let clocks = self.threads[..n].iter().map(|t| t.sb.clock);
+        self.wall_cycles += clocks.clone().max().unwrap_or(0);
+        self.cpu_cycles += clocks.sum::<u64>();
     }
 
     /// Clock-windowed scheduler: conservative discrete-event execution.
@@ -709,11 +742,23 @@ impl<'m> Vm<'m> {
     /// round-robin quantum scheduler leaves transactions open across
     /// other threads' entire quanta and inflates conflict rates by an
     /// order of magnitude).
-    fn schedule(&mut self, tids: &[usize], dc: Option<&Decoded>) -> RunOutcome {
+    ///
+    /// The top of each window is the run's resume point (see
+    /// [`Cursor`]): a fork driver pauses there (`None`), and a golden
+    /// run records the register-write count there.
+    fn schedule(&mut self, n: usize, dc: Option<&Decoded>) -> Option<RunOutcome> {
         loop {
+            if let Some(starts) = self.window_occ.as_mut() {
+                starts.push(self.occ);
+            }
+            if self.pause_at == Some(self.cursor.window) {
+                return None;
+            }
+            self.cursor.window += 1;
+
             // Unblock pass: threads whose lock was released become ready.
             let mut all_done = true;
-            for &tid in tids {
+            for tid in 0..n {
                 match self.threads[tid].state {
                     ThreadState::Done => {}
                     ThreadState::Blocked { lock } => {
@@ -726,20 +771,20 @@ impl<'m> Vm<'m> {
                 }
             }
             if all_done {
-                return RunOutcome::Completed;
+                return Some(RunOutcome::Completed);
             }
 
             // Horizon: smallest ready clock plus one jittered window.
             let window = self.cfg.quantum.max(2);
-            let min_clock = tids
+            let min_clock = self.threads[..n]
                 .iter()
-                .filter(|&&t| self.threads[t].state == ThreadState::Ready)
-                .map(|&t| self.threads[t].sb.clock)
+                .filter(|t| t.state == ThreadState::Ready)
+                .map(|t| t.sb.clock)
                 .min();
             let Some(min_clock) = min_clock else {
                 // Live threads exist but all are blocked and nobody can
                 // release a lock: deadlock, surfacing as a hang.
-                return RunOutcome::Hang;
+                return Some(RunOutcome::Hang);
             };
             let horizon = min_clock + window / 2 + self.rng.below(window);
 
@@ -747,18 +792,18 @@ impl<'m> Vm<'m> {
             // micro-op the order is [horizon check, budget check, step].
             // Fused super-instructions replicate the same checks between
             // their constituents, so the streams stay aligned.
-            for &tid in tids {
+            for tid in 0..n {
                 if self.threads[tid].state != ThreadState::Ready {
                     continue;
                 }
                 if let Some(d) = dc {
                     while self.threads[tid].sb.clock < horizon {
                         if self.instructions >= self.cfg.max_instructions {
-                            return RunOutcome::Hang;
+                            return Some(RunOutcome::Hang);
                         }
                         match self.step_fused(tid, horizon, d) {
                             Flow::Continue => {}
-                            Flow::Stop(o) => return o,
+                            Flow::Stop(o) => return Some(o),
                             Flow::ThreadDone => {
                                 self.threads[tid].state = ThreadState::Done;
                                 break;
@@ -772,11 +817,11 @@ impl<'m> Vm<'m> {
                 } else {
                     while self.threads[tid].sb.clock < horizon {
                         if self.instructions >= self.cfg.max_instructions {
-                            return RunOutcome::Hang;
+                            return Some(RunOutcome::Hang);
                         }
                         match self.step(tid) {
                             Flow::Continue => {}
-                            Flow::Stop(o) => return o,
+                            Flow::Stop(o) => return Some(o),
                             Flow::ThreadDone => {
                                 self.threads[tid].state = ThreadState::Done;
                                 break;
@@ -1810,6 +1855,7 @@ fn eval_cast(kind: CastKind, from: Ty, to: Ty, a: u64) -> u64 {
 mod decode;
 mod engine;
 mod forensics;
+mod fork;
 mod fuse;
 mod profile;
 
@@ -1817,6 +1863,7 @@ pub use forensics::{FaultDetector, FaultSite, Forensics};
 pub use profile::{CycleProfile, OpClass as ProfileOpClass, ProfileCell};
 
 pub use decode::Decoded;
+pub use fork::{Fork, GoldenRun};
 
 #[cfg(test)]
 mod tests;

@@ -847,7 +847,7 @@ fn cell_hash(key: u64, shift: u32) -> usize {
 /// identical to the interpreter's byte-keyed `HashMap<u64, u8>` overlay
 /// (same buffered bytes, same read-through merge, same flush result) at
 /// one probe per cell instead of one SipHash per byte.
-#[derive(Debug, Default)]
+#[derive(Clone, Debug, Default)]
 pub(super) struct FastOverlay {
     /// `(cell + 1, data word, byte mask)`; key 0 marks an empty slot.
     slots: Vec<(u64, u64, u8)>,
@@ -977,7 +977,7 @@ impl FastOverlay {
 }
 
 /// Open-addressed `cell → u64` map for store→load forwarding times.
-#[derive(Debug, Default)]
+#[derive(Clone, Debug, Default)]
 pub(super) struct CellMap {
     /// `(cell + 1, value)`; key 0 marks an empty slot.
     slots: Vec<(u64, u64)>,

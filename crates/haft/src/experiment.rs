@@ -237,9 +237,10 @@ impl<'a> Experiment<'a> {
     }
 
     /// Hardens once, runs the fault-free reference, then the full
-    /// injection campaign. The experiment's VM configuration is used for
-    /// every run (the `vm` field of `cfg` is ignored); `cfg` supplies the
-    /// injection count, seed, and parallelism.
+    /// injection campaign, every run on one decoded image. The
+    /// experiment's VM configuration is used for every run (the `vm`
+    /// field of `cfg` is ignored); `cfg` supplies the injection count,
+    /// seed, and parallelism.
     ///
     /// The returned report's `run` is the reference run and `campaign`
     /// holds the Table 1 outcome histogram.
@@ -253,14 +254,15 @@ impl<'a> Experiment<'a> {
         let (module, stats) = self.built();
         let mut vm = self.vm.clone();
         vm.fault = None;
-        let golden = Vm::run(module, vm.clone(), self.spec);
+        let image = Vm::decode(module, &vm.cost);
+        let golden = Vm::run_golden(module, &image, vm.clone(), self.spec);
         let campaign_cfg = CampaignConfig { vm, ..cfg };
-        let report = run_campaign_from(module, self.spec, &campaign_cfg, &golden);
+        let report = run_campaign_from(module, &image, self.spec, &campaign_cfg, &golden);
         VariantReport {
             label: self.cfg.label(),
             backend: self.cfg.backend,
             pass_stats: stats.clone(),
-            run: golden,
+            run: golden.result,
             overhead_vs_native: None,
             campaign: Some(report),
         }

@@ -12,7 +12,8 @@
 //! thresholds, and fault injections. Any divergence — one cycle, one
 //! abort, one vote, one checksum correction — fails. The same equality
 //! pins runs on a shared decoded image ([`Vm::run_decoded`]) to runs
-//! that decode for themselves.
+//! that decode for themselves, and fault runs forked from a fault-free
+//! run ([`Vm::run_forks`]) to runs started from instruction 0.
 
 use std::collections::BTreeMap;
 
@@ -103,6 +104,36 @@ fn build_program(steps: &[Step]) -> Module {
 
 fn fini_spec() -> RunSpec<'static> {
     RunSpec { fini: Some("fini"), ..Default::default() }
+}
+
+/// The generated program behind all three phases: a serial `init` that
+/// fills the scratch words, and a two-thread `worker` phase in which
+/// each thread churns its own word, ahead of the generated `fini`,
+/// which reads the words back through its store/load steps.
+fn build_phased_program(steps: &[Step]) -> Module {
+    let mut m = build_program(steps);
+    let g = Operand::GlobalAddr(haft::ir::module::GlobalId(0));
+    let mut init = FunctionBuilder::new("init", &[], None);
+    init.set_non_local();
+    init.counted_loop(init.iconst(Ty::I64, 0), init.iconst(Ty::I64, 4), |b, i| {
+        let v = b.mul(Ty::I64, i, b.iconst(Ty::I64, 0x9E37));
+        let a = b.gep(g, i, 8, 0);
+        b.store(Ty::I64, v, a);
+    });
+    init.ret(None);
+    m.push_func(init.finish());
+    let mut w = FunctionBuilder::new("worker", &[Ty::I64, Ty::I64], None);
+    w.set_non_local();
+    let a = w.gep(g, w.param(0), 8, 0);
+    w.counted_loop(w.iconst(Ty::I64, 0), w.iconst(Ty::I64, 6), |b, i| {
+        let v = b.load(Ty::I64, a);
+        let x = b.add(Ty::I64, v, i);
+        let y = b.mul(Ty::I64, x, b.iconst(Ty::I64, 3));
+        b.store(Ty::I64, y, a);
+    });
+    w.ret(None);
+    m.push_func(w.finish());
+    m
 }
 
 /// Runs the experiment under both engines and returns the two results.
@@ -204,6 +235,95 @@ proptest! {
                             "{} {:?} threshold={} fault={:?}",
                             label, engine, tx_threshold, cfg.fault
                         );
+                    }
+                }
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Golden-prefix forking is exact: each fault run `Vm::run_forks`
+    /// resumes from the fault-free driver equals the same fault run
+    /// started from instruction 0, in the whole `RunResult`, forensics
+    /// included. Over single- and three-phase programs, both engines,
+    /// native/HAFT/TMR/ABFT and forensics off and on, the plans cover
+    /// `k = 0`, every phase boundary, `k` past the last register write
+    /// (never fires: the golden result), a repeated `k`, and random `k`;
+    /// the budgets cover a roomy one, one just past the golden run
+    /// (faulted runs that do extra work hang) and one the golden run
+    /// itself exhausts.
+    #[test]
+    fn forked_fault_runs_equal_full_runs(
+        steps in proptest::collection::vec(step_strategy(), 1..24),
+        seed in any::<u64>(),
+        occ_seeds in proptest::collection::vec(any::<u64>(), 2..5),
+        mask in 1u64..,
+    ) {
+        let phased = RunSpec { init: Some("init"), worker: Some("worker"), fini: Some("fini") };
+        let programs =
+            [(build_program(&steps), fini_spec(), 1), (build_phased_program(&steps), phased, 2)];
+        let configs = [
+            HardenConfig::native(),
+            HardenConfig::haft(),
+            HardenConfig::tmr(),
+            HardenConfig::abft(),
+        ];
+        for (m, spec, n_threads) in &programs {
+            for hc in &configs {
+                let label = hc.label();
+                let (hardened, _) = Experiment::new(m).harden(hc.clone()).build();
+                let image = Vm::decode(&hardened, &haft::vm::CostConfig::default());
+                for engine in [Engine::Interp, Engine::Fused] {
+                    let base = VmConfig { engine, seed, n_threads: *n_threads, ..VmConfig::default() };
+                    let full = Vm::run_decoded(&hardened, &image, base.clone(), *spec);
+                    let budgets =
+                        [full.instructions * 8, full.instructions + 3, full.instructions / 2];
+                    for max_instructions in budgets {
+                        let cfg = VmConfig { max_instructions, ..base.clone() };
+                        let golden = Vm::run_golden(&hardened, &image, cfg.clone(), *spec);
+                        let writes = golden.result.register_writes;
+                        // Register writes at each phase start: the runs of
+                        // the spec cut short before that phase.
+                        let cut = |worker, fini| RunSpec { worker, fini, ..*spec };
+                        let mut occs = vec![0, writes, writes + 7];
+                        for prefix in [cut(None, None), cut(spec.worker, None)] {
+                            let run = Vm::run_decoded(&hardened, &image, cfg.clone(), prefix);
+                            occs.push(run.register_writes);
+                        }
+                        occs.extend(occ_seeds.iter().map(|s| s % writes.max(1)));
+                        occs.push(occ_seeds[0] % writes.max(1));
+                        occs.sort_unstable();
+                        let plans: Vec<FaultPlan> =
+                            occs.iter().map(|&occurrence| FaultPlan { occurrence, xor_mask: mask }).collect();
+                        for forensics in [false, true] {
+                            let cfg = VmConfig { forensics, ..cfg.clone() };
+                            let mut forked = Vec::new();
+                            Vm::run_forks(&hardened, &image, cfg.clone(), *spec, &golden, &plans, |f| {
+                                forked.push(f.run())
+                            });
+                            prop_assert_eq!(forked.len(), plans.len());
+                            for (plan, got) in plans.iter().zip(&forked) {
+                                let fault = Some(*plan);
+                                let want = Vm::run_decoded(
+                                    &hardened, &image, VmConfig { fault, ..cfg.clone() }, *spec
+                                );
+                                prop_assert_eq!(
+                                    got, &want,
+                                    "{} {} {:?} budget={} forensics={} k={}",
+                                    m.name, label, engine, max_instructions, forensics,
+                                    plan.occurrence
+                                );
+                            }
+                            // Past the last register write the fault never
+                            // fires: the fork is the golden run.
+                            prop_assert_eq!(forked.last(), Some(&golden.result));
+                        }
+                        if max_instructions < full.instructions {
+                            prop_assert_eq!(golden.result.outcome, RunOutcome::Hang);
+                        }
                     }
                 }
             }
